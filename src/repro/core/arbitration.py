@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
+from heapq import heapify, heappop
 
 import numpy as np
 
@@ -114,15 +115,15 @@ def arbitrate_prefetch(
     time.
     """
     items = tuple(candidates.items if isinstance(candidates, PrefetchPlan) else candidates)
-    item_set = set(int(i) for i in items)
+    item_set = set(map(int, items))
     # The result plan is built without re-validation, so enforce the plan
     # invariants (unique, non-negative ids) on raw candidate sequences here.
     if len(item_set) != len(items):
         raise ValueError(f"prefetch candidates contain duplicate items: {items}")
-    if any(i < 0 for i in item_set):
+    if item_set and min(item_set) < 0:
         raise ValueError(f"prefetch candidates contain negative item ids: {items}")
-    cache_set = set(int(i) for i in cache)
-    if cache_set & item_set:
+    cache_set = set(map(int, cache))
+    if not cache_set.isdisjoint(item_set):
         raise ValueError("prefetch candidates must not already be cached")
     if free_slots < 0:
         raise ValueError("free_slots must be non-negative")
@@ -131,11 +132,11 @@ def arbitrate_prefetch(
     # NumPy array-scalar box per comparison in the sort and victim loops.
     profit = problem.profits().tolist()
     ordered = sorted(items, key=lambda f: (-profit[f], f))
-    remaining = set(cache_set)
     admitted: list[int] = []
     eject: list[int] = []
     pairs: list[tuple[int, int | None]] = []
     slots = free_slots
+    victims: list[tuple[float, float, int]] | None = None
 
     for f in ordered:
         if slots > 0:
@@ -143,15 +144,24 @@ def arbitrate_prefetch(
             admitted.append(f)
             pairs.append((f, None))
             continue
-        if not remaining:
+        if victims is None:
+            # One victim ordering per call, built on the first eviction:
+            # the keys cannot change within the call, so popping this heap
+            # yields exactly the victims that repeated select_victim scans
+            # of the shrinking cache would pick, in the same order.
+            if sub_key is None:
+                victims = [(profit[d], 0.0, d) for d in cache_set]
+            else:
+                victims = [(profit[d], sub_key(d), d) for d in cache_set]
+            heapify(victims)
+        if not victims:
             break  # full cache with nothing evictable left
-        d = select_victim(remaining, profit.__getitem__, sub_key)
-        if profit[f] < profit[d]:
+        d_profit, _, d = heappop(victims)
+        if profit[f] < d_profit:
             break  # Figure 6: first losing candidate ends the loop
         admitted.append(f)
         eject.append(d)
         pairs.append((f, d))
-        remaining.discard(d)
 
     # reorder_plan's rule-(5) arrangement, inlined over the known-unique
     # admitted list so the plan skips re-validation.

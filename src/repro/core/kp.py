@@ -15,7 +15,6 @@ Two exact solvers are provided:
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,47 +52,46 @@ def solve_kp(problem: PrefetchProblem, *, use_bound: bool = True) -> KPResult:
     p_all = problem.probabilities[order]
     keep = p_all > 0.0
     order = order[keep]
-    p = np.ascontiguousarray(p_all[keep])
-    r = np.ascontiguousarray(problem.retrieval_times[order])
     v = problem.viewing_time
-    n = int(p.shape[0])
+    n = int(order.shape[0])
     if n == 0 or v <= 0.0:
         return KPResult(plan=PrefetchPlan(()), value=0.0, nodes=0, bound_cutoffs=0)
 
-    bounder = SuffixBounder(p, r)
-    profit = p * r
+    bounder = SuffixBounder(p_all[keep], problem.retrieval_times[order])
+    r = bounder.r_list
+    profit = [pi * ri for pi, ri in zip(bounder.p_list, r)]
 
     best_value = 0.0
-    best_mask = np.zeros(n, dtype=bool)
-    chosen = np.zeros(n, dtype=bool)
+    best_items: list[int] = []
     nodes = 0
     cutoffs = 0
 
-    # Depth-first search; depth equals item count, so make sure the
-    # interpreter allows it for large candidate sets.
-    if n + 50 > sys.getrecursionlimit():
-        sys.setrecursionlimit(n + 200)
-
-    def dfs(j: int, residual: float, value: float) -> None:
-        nonlocal best_value, nodes, cutoffs
+    # Depth-first search with an explicit stack (the depth equals the item
+    # count, so recursion would need the interpreter's limit raised).  Each
+    # task is (next item, residual, value, number of selected items); the
+    # include branch is pushed last so it runs first, exactly as the
+    # recursive "take j, then skip j" visit order.
+    selected: list[int] = []
+    stack = [(0, float(v), 0.0, 0)]
+    while stack:
+        j, residual, value, depth = stack.pop()
+        del selected[depth:]
         nodes += 1
         if value > best_value:
             best_value = value
-            best_mask[:] = chosen
+            best_items = selected.copy()
         if j >= n:
-            return
-        if use_bound:
-            if value + bounder.bound(j, residual) <= best_value:
-                cutoffs += 1
-                return
+            continue
+        if use_bound and value + bounder.bound(j, residual) <= best_value:
+            cutoffs += 1
+            continue
+        stack.append((j + 1, residual, value, depth))
         if r[j] <= residual:
-            chosen[j] = True
-            dfs(j + 1, residual - float(r[j]), value + float(profit[j]))
-            chosen[j] = False
-        dfs(j + 1, residual, value)
+            selected.append(j)
+            stack.append((j + 1, residual - r[j], value + profit[j], depth + 1))
 
-    dfs(0, float(v), 0.0)
-    items = tuple(int(order[k]) for k in range(n) if best_mask[k])
+    order_list = order.tolist()
+    items = tuple(order_list[k] for k in best_items)
     return KPResult(
         plan=PrefetchPlan.from_trusted(items),
         value=float(best_value),

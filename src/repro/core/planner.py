@@ -39,7 +39,8 @@ __all__ = ["ONLINE_NODE_BUDGET", "PlanOutcome", "Prefetcher"]
 #: values, where the eq. (7) bound prunes in tens of nodes; learned rows
 #: can carry long runs of exactly tied probabilities (uniform residual
 #: mass, equal counts) where tie-degenerate bounds stop pruning and the
-#: search goes combinatorial.  20k nodes is ~100x a benign solve, so the
+#: search goes combinatorial.  20k nodes is over 200x the p99 of a benign
+#: online solve (88 nodes on the fleet-online benchmark), so the
 #: cap never binds on healthy instances and turns pathological ones into
 #: a deterministic anytime solve.  Oracle/static paths keep ``None``
 #: (proven-optimal, bit-exact with the golden traces).

@@ -35,10 +35,11 @@ Regardless of variant, the returned :class:`SKPResult.gain` is the *true*
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import accumulate
+from operator import mul
 
 from repro.core.improvement import access_improvement
 from repro.core.ordering import canonical_order
-from repro.core.relaxation import SuffixBounder
 from repro.core.types import PrefetchPlan, PrefetchProblem
 
 __all__ = ["SKPResult", "solve_skp"]
@@ -69,6 +70,8 @@ class SKPResult:
     ``gain`` is the access improvement ``g*`` of ``plan`` per equation (3);
     ``algorithm_gain`` is the solver's internal incumbent value, which for
     the faithful variant may exceed ``gain`` (see module docstring).
+    ``exhausted`` is true when ``node_budget`` stopped the search before
+    optimality was proven; then ``nodes`` is ``node_budget + 1``.
 
     ``gain`` is evaluated lazily on first access: the planner's
     per-request candidate solves only consume ``plan``, while solver tests
@@ -76,7 +79,10 @@ class SKPResult:
     recomputation they always did.
     """
 
-    __slots__ = ("plan", "algorithm_gain", "nodes", "bound_cutoffs", "variant", "_gain", "_lazy_gain")
+    __slots__ = (
+        "plan", "algorithm_gain", "nodes", "bound_cutoffs", "variant", "exhausted",
+        "_gain", "_lazy_gain",
+    )
 
     def __init__(
         self,
@@ -86,12 +92,14 @@ class SKPResult:
         nodes: int,
         bound_cutoffs: int,
         variant: str,
+        exhausted: bool = False,
     ) -> None:
         self.plan = plan
         self.algorithm_gain = algorithm_gain
         self.nodes = nodes
         self.bound_cutoffs = bound_cutoffs
         self.variant = variant
+        self.exhausted = exhausted
         if callable(gain):
             self._gain = None
             self._lazy_gain = gain
@@ -111,7 +119,8 @@ class SKPResult:
         return (
             f"SKPResult(plan={self.plan.items}, gain={self.gain:.6g}, "
             f"algorithm_gain={self.algorithm_gain:.6g}, nodes={self.nodes}, "
-            f"bound_cutoffs={self.bound_cutoffs}, variant={self.variant!r})"
+            f"bound_cutoffs={self.bound_cutoffs}, variant={self.variant!r}, "
+            f"exhausted={self.exhausted})"
         )
 
 
@@ -156,7 +165,14 @@ def solve_skp(
         the Dantzig bound equals the incumbent up to floating-point
         rounding, so pruning degrades and the search can go combinatorial.
         The budget is a hard, input-independent node count, so results stay
-        deterministic and worker-count invariant.
+        deterministic and worker-count invariant.  ``SKPResult.exhausted``
+        reports whether the budget stopped the search.
+
+    A *node* is one selected item, or one maximal run of consecutively
+    excluded items (their ``delta <= 0``): the forward move jumps over such
+    a run whenever no bound check inside it could cut, and a run walked
+    item by item between bound checks still counts once.  So ``nodes``
+    counts forward decisions, not items examined.
     """
     if variant not in _VARIANTS:
         raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
@@ -165,118 +181,138 @@ def solve_skp(
     if node_budget is not None and node_budget < 1:
         raise ValueError("node_budget must be positive or None")
 
-    order_full = canonical_order(problem)
-    p_full = problem.probabilities[order_full]
-    keep = p_full > 0.0
-    order_arr = order_full[keep]
+    # The branch-and-bound touches scalars, not vectors: plain Python lists
+    # avoid a NumPy array-scalar box per access.  The running sums fold
+    # left to right (``accumulate`` performs the identical IEEE additions
+    # as the loop ``acc += x``), so every bound below is bit-exact with the
+    # NumPy cumsum version the golden-trace tests were recorded with.
+    order_arr = canonical_order(problem)
+    order = order_arr.tolist()
+    p = problem.probabilities[order_arr].tolist()
+    r = problem.retrieval_times[order_arr].tolist()
     v = float(problem.viewing_time)
-    n = int(order_arr.shape[0])
-
+    # Rule (5) sorts zero-probability items last; drop them.
+    n = len(p)
+    while n and p[n - 1] <= 0.0:
+        n -= 1
     if n == 0:
         return SKPResult(PrefetchPlan(()), 0.0, 0.0, 0, 0, variant)
-
-    # The branch-and-bound touches scalars, not vectors: plain Python lists
-    # avoid a NumPy array-scalar box per access.  All folds below (the
-    # bounder's running cumsums, the inlined Dantzig query) perform the
-    # identical IEEE operations in the identical order as the previous
-    # NumPy version, so solver output is bit-exact — the golden-trace tests
-    # depend on it.  The prefix sums come from SuffixBounder (one shared
-    # construction); only the per-node *query* is inlined below.
-    order = order_arr.tolist()
-    bounder = SuffixBounder(p_full[keep], problem.retrieval_times[order_arr])
-    p = bounder.p_list
-    r = bounder.r_list
-    cum_r = bounder.cum_r
-    cum_profit = bounder.cum_profit
-
-    # Suffix probability mass, suffix_mass[j] = sum(p[j:]); sentinel 0 at n.
-    suffix_mass = [0.0] * (n + 1)
-    acc_m = 0.0
-    for i in range(n - 1, -1, -1):
-        acc_m += p[i]
-        suffix_mass[i] = acc_m
+    if n < len(p):
+        del order[n:], p[n:], r[n:]
+    cum_r = list(accumulate(r, initial=0.0))
+    cum_profit = list(accumulate(map(mul, p, r), initial=0.0))
     faithful = variant == "faithful"
+    if faithful:
+        # Suffix probability mass, suffix_mass[j] = sum(p[j:]); 0 at n.
+        suffix_mass = list(accumulate(reversed(p), initial=0.0))
+        suffix_mass.reverse()
 
     # --- state, mirroring Figure 3 -------------------------------------
-    x_best = [False] * n  # paper's x
+    # The paper's 0/1 vectors x and x^ are kept as the increasing lists
+    # of selected indices they mark.
+    x_best: list[int] = []  # paper's x
     g_best = 0.0  # paper's g
-    x_hat = [False] * n  # paper's x^
+    x_hat: list[int] = []  # paper's x^, a stack of selected indices
     g_hat = 0.0  # paper's g^
     v_hat = v  # paper's v^ (residual capacity; < 0 once stretched)
     sel_mass = 0.0  # sum of P over selected items (corrected penalty)
-    selected_stack: list[int] = []  # selected indices, increasing
     j = 0
     nodes = 0
     cutoffs = 0
     exhausted = False
 
-    # Figure 3's steps 2-5 as direct control flow (the former explicit
-    # state machine, minus the per-transition dispatch): the inner loop
-    # alternates bound and forward moves, falling through to the incumbent
-    # update; the outer loop backtracks.  Transition order is unchanged.
+    # The Dantzig bound ``u`` is never negative, so the cutoff test
+    # ``g_best >= g_hat + u`` can only fire while ``g_best >= g_hat``; the
+    # bound is evaluated only then.  While ``g_hat > g_best`` the forward
+    # move jumps over a whole run of excluded items: none of the bound
+    # checks Figure 3 makes between them could cut, so the jump lands in
+    # the state the item-by-item walk reaches.
     while True:
+        # Steps 2-4: one forward move from j.  ``check`` marks where
+        # Figure 3 evaluates the bound: on entry and after each excluded
+        # item but the last ("if j < n then goto 2", 1-based).
+        check = True
+        in_run = False  # the previous item examined was excluded
         while True:
-            # -- step 2: bound (inlined SuffixBounder.bound(j, max(v^,0)))
-            if use_bound:
+            # -- step 2: bound
+            if check and use_bound and g_best >= g_hat:
                 if j >= n or v_hat <= 0.0:
                     u = 0.0
                 else:
                     target = cum_r[j] + v_hat
-                    m = bisect_right(cum_r, target)
-                    if m > n:
-                        u = cum_profit[n] - cum_profit[j]
+                    if cum_r[j + 1] > target:
+                        # Item j alone overruns: it is the break item.
+                        u = (target - cum_r[j]) * p[j]
                     else:
-                        brk = m - 1
-                        u = (cum_profit[brk] - cum_profit[j]) + (
-                            target - cum_r[brk]
-                        ) * p[brk]
+                        m = bisect_right(cum_r, target, j + 2)
+                        if m > n:
+                            u = cum_profit[n] - cum_profit[j]
+                        else:
+                            brk = m - 1
+                            u = (cum_profit[brk] - cum_profit[j]) + (
+                                target - cum_r[brk]
+                            ) * p[brk]
                 if g_best >= g_hat + u:
                     cutoffs += 1
                     break  # to step 5
-            # -- step 3: forward
-            rebound = False
-            while j < n and v_hat > 0.0:
-                nodes += 1
-                if node_budget is not None and nodes > node_budget:
-                    exhausted = True
-                    break
-                penalty = (suffix_mass[j] if faithful else 1.0 - sel_mass) + stretch_penalty_bonus
-                overrun = r[j] - v_hat
-                delta = p[j] * r[j] - (penalty * overrun if overrun > 0.0 else 0.0)
-                if delta <= 0.0:
-                    x_hat[j] = False
-                    j += 1
-                    if j < n - 1:  # paper: "if j < n then goto 2" (1-based)
-                        rebound = True
-                        break
-                else:
-                    v_hat -= r[j]
-                    g_hat += delta
-                    sel_mass += p[j]
-                    x_hat[j] = True
-                    selected_stack.append(j)
-                    j += 1
-            if exhausted:
-                # Budget exhausted mid-path: the current partial selection
-                # is itself a feasible plan — keep it if it beats the
-                # incumbent, then stop deterministically.
+            # -- step 4: the path is complete; update the incumbent
+            if j >= n or v_hat <= 0.0:
                 if g_hat > g_best:
                     g_best = g_hat
                     x_best = x_hat.copy()
                 break
-            if rebound:
-                continue  # back to step 2
-            # -- step 4: update the incumbent
-            if g_hat > g_best:
-                g_best = g_hat
-                x_best = x_hat.copy()
-            break  # to step 5
+            # -- step 3: forward
+            penalty = (suffix_mass[j] if faithful else 1.0 - sel_mass) + stretch_penalty_bonus
+            overrun = r[j] - v_hat
+            delta = p[j] * r[j] - (penalty * overrun if overrun > 0.0 else 0.0)
+            if delta > 0.0 or not in_run:
+                nodes += 1
+                if node_budget is not None and nodes > node_budget:
+                    # Budget exhausted mid-path: the current partial
+                    # selection is itself a feasible plan — keep it if it
+                    # beats the incumbent, then stop deterministically.
+                    exhausted = True
+                    if g_hat > g_best:
+                        g_best = g_hat
+                        x_best = x_hat.copy()
+                    break
+            if delta > 0.0:
+                v_hat -= r[j]
+                g_hat += delta
+                sel_mass += p[j]
+                x_hat.append(j)
+                j += 1
+                check = in_run = False
+                continue
+            # Item j is excluded.
+            in_run = True
+            j += 1
+            check = j < n - 1
+            if check and use_bound and g_best >= g_hat:
+                continue  # this bound check may cut
+            # No bound check can cut: skip ahead over every following item
+            # that overruns v_hat and that the solver's own delta
+            # expression excludes too.
+            check = False
+            if faithful:
+                while j < n:
+                    overrun = r[j] - v_hat
+                    if overrun <= 0.0 or p[j] * r[j] - (
+                        suffix_mass[j] + stretch_penalty_bonus
+                    ) * overrun > 0.0:
+                        break
+                    j += 1
+            else:
+                while j < n:
+                    overrun = r[j] - v_hat
+                    if overrun <= 0.0 or p[j] * r[j] - penalty * overrun > 0.0:
+                        break
+                    j += 1
 
         # -- step 5: backtrack
-        if exhausted or not selected_stack:
+        if exhausted or not x_hat:
             break  # step 6
-        k = selected_stack.pop()
-        x_hat[k] = False
+        k = x_hat.pop()
         v_hat += r[k]
         sel_mass -= p[k]
         penalty = (suffix_mass[k] if faithful else 1.0 - sel_mass) + stretch_penalty_bonus
@@ -285,7 +321,7 @@ def solve_skp(
         g_hat -= delta
         j = k + 1
 
-    items = tuple(order[k] for k in range(n) if x_best[k])
+    items = tuple([order[k] for k in x_best])
     plan = PrefetchPlan.from_trusted(items)
     return SKPResult(
         plan=plan,
@@ -294,4 +330,5 @@ def solve_skp(
         nodes=nodes,
         bound_cutoffs=cutoffs,
         variant=variant,
+        exhausted=exhausted,
     )

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro import PrefetchPlan, PrefetchProblem, arbitrate_demand, arbitrate_prefetch
 from repro.core.arbitration import ds_sub_key, lfu_sub_key, select_victim
@@ -106,6 +108,66 @@ class TestPrArbitration:
             prob, PrefetchPlan((0,)), cache=[1, 2], sub_key=lfu_sub_key(freq)
         )
         assert res.eject == (1,)
+
+
+def _reference_arbitrate(problem, candidates, cache, free_slots, sub_key):
+    """Figure 6 with one ``select_victim`` scan of the remaining cache per candidate."""
+    profit = problem.profits().tolist()
+    remaining = set(cache)
+    admitted, eject, pairs = [], [], []
+    slots = free_slots
+    for f in sorted(candidates, key=lambda f: (-profit[f], f)):
+        if slots > 0:
+            slots -= 1
+            admitted.append(f)
+            pairs.append((f, None))
+            continue
+        if not remaining:
+            break
+        d = select_victim(remaining, profit.__getitem__, sub_key)
+        if profit[f] < profit[d]:
+            break
+        admitted.append(f)
+        eject.append(d)
+        pairs.append((f, d))
+        remaining.discard(d)
+    p, r = problem.probabilities, problem.retrieval_times
+    admitted.sort(key=lambda i: (-p[i], r[i], i))
+    return tuple(admitted), tuple(eject), tuple(pairs)
+
+
+@st.composite
+def arbitration_cases(draw):
+    """Instances with many ties in ``P r`` and in the sub-keys."""
+    n = draw(st.integers(1, 24))
+    p = np.array(draw(st.lists(st.sampled_from([0.0, 0.0, 0.01, 0.02, 0.05, 0.1]),
+                               min_size=n, max_size=n)))
+    p = p / max(1.0, float(p.sum()))
+    r = np.array(draw(st.lists(st.sampled_from([1.0, 2.0, 2.5, 10.0]), min_size=n, max_size=n)))
+    items = draw(st.permutations(range(n)))
+    split = draw(st.integers(0, n))
+    candidates = list(items[:split])
+    cache = list(items[split:])
+    free_slots = draw(st.integers(0, 3))
+    freq = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.5]), min_size=n, max_size=n)))
+    which = draw(st.sampled_from([None, "lfu", "ds"]))
+    return PrefetchProblem(p, r, 10.0), candidates, cache, free_slots, freq, which
+
+
+class TestOneVictimOrdering:
+    @given(arbitration_cases())
+    def test_matches_one_select_victim_scan_per_candidate(self, case):
+        prob, candidates, cache, free_slots, freq, which = case
+        sub_key = {
+            None: None,
+            "lfu": lfu_sub_key(freq),
+            "ds": ds_sub_key(freq, prob.retrieval_times),
+        }[which]
+        got = arbitrate_prefetch(
+            prob, candidates, cache, free_slots=free_slots, sub_key=sub_key
+        )
+        expected = _reference_arbitrate(prob, candidates, cache, free_slots, sub_key)
+        assert (got.prefetch.items, got.eject, got.pairs) == expected
 
 
 class TestDemandArbitration:

@@ -9,6 +9,8 @@ Certification strategy (also documented in DESIGN.md):
 * the eq. (7) bound must dominate every achievable gain.
 """
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -225,6 +227,22 @@ class TestKP:
             res = solve_kp(prob)
             assert res.value == pytest.approx(access_improvement(prob, res.plan), abs=1e-9)
 
+    def test_large_catalog_leaves_recursion_limit_alone(self):
+        # Nearly everything fits, so the depth-first search runs ~2,000
+        # items deep: far past the interpreter's default recursion limit.
+        rng = np.random.default_rng(11)
+        n = 2000
+        p = rng.random(n)
+        p /= p.sum()
+        r = rng.integers(1, 4, n).astype(np.float64)
+        v = float(r.sum() - 40.0)
+        limit = sys.getrecursionlimit()
+        res = solve_kp(PrefetchProblem(p, r, v))
+        assert sys.getrecursionlimit() == limit
+        dp_value, dp_items = kp_dynamic_programming(p * r, r, int(v))
+        assert res.value == pytest.approx(dp_value, abs=1e-9)
+        assert sorted(res.plan.items) == sorted(dp_items)
+
     def test_dp_rejects_fractional_weights(self):
         with pytest.raises(ValueError, match="integer"):
             kp_dynamic_programming(np.array([1.0]), np.array([1.5]), 3)
@@ -319,6 +337,34 @@ class TestNodeBudget:
         assert res.nodes <= 501
         res.plan.validate_against(prob)
         assert res.gain >= 0.0
+
+    def test_run_of_excluded_items_counts_one_node(self):
+        # After item 0 is taken, items 1-4 each overrun the residual with
+        # delta < 0: the forward move skips them as one node, then the
+        # bound prunes the branch without item 0.
+        prob = PrefetchProblem(
+            np.array([0.5, 0.1, 0.1, 0.1, 0.1]), np.array([5.0, 10.0, 10.0, 10.0, 10.0]), 6.0
+        )
+        res = solve_skp(prob)
+        assert res.plan.items == (0,)
+        assert (res.nodes, res.bound_cutoffs) == (2, 1)
+
+    def test_exhausted_flags_exactly_the_truncated_solves(self, rng):
+        # The traced benchmark counts a truncation as nodes > node_budget;
+        # the flag must agree with that test on every solve.
+        truncated = 0
+        for _ in range(60):
+            prob = make_problem(rng, max_n=10)
+            assert not solve_skp(prob).exhausted
+            for budget in (1, 3, 8):
+                res = solve_skp(prob, node_budget=budget)
+                assert res.exhausted == (res.nodes > budget)
+                truncated += res.exhausted
+        assert truncated > 0
+        # Tied probabilities defeat the bound: this search needs ~10^4 nodes.
+        ties = PrefetchProblem(np.full(18, 0.05), np.full(18, 2.0), 9.0)
+        res = solve_skp(ties, node_budget=500)
+        assert res.exhausted and res.nodes == 501
 
     def test_invalid_budget_rejected(self):
         prob = PrefetchProblem(np.array([0.5, 0.5]), np.array([1.0, 1.0]), 2.0)
