@@ -1,21 +1,20 @@
 """The prefetching client: cache + planner + one network channel.
 
-This is the event-driven generalisation of the lean §5.3 simulator
-(:mod:`repro.simulation.prefetch_cache`): retrieval times derive from item
-sizes over a latency/bandwidth link, next-access estimates come from any
-provider (the true Markov row, or an online predictor from
-:mod:`repro.prediction`), and transfer completions are delivered through an
-:class:`repro.distsys.events.EventQueue`.  On equal-size catalogs with a
-unit link and the oracle provider it reproduces the lean simulator's access
-times *exactly* (see ``tests/integration/test_cross_engine.py``).
+The single-client API over :class:`repro.distsys.planning.ClientPlanState`:
+retrieval times derive from item sizes over a latency/bandwidth link, the
+client's transfers share one sequential :class:`~repro.distsys.network
+.Channel`, and next-access estimates come from any provider (the true
+Markov row, or an online predictor from :mod:`repro.prediction`).  On
+equal-size catalogs with a unit link and the oracle provider it reproduces
+the lean §5.3 simulator's access times *exactly* (see
+``tests/integration/test_cross_engine.py``) — both run the same serve step.
 
-Semantics match the lean engine: transfers are never aborted; a demand
-fetch waits for the whole backlog; eviction lists leave the cache at
-planning time; each admitted prefetch is paired with a victim or free slot.
-Cache admission and planning dispatch are shared with the other engines via
-:class:`repro.distsys.planning.ClientPlanState`.  Providers here may be
-*online* (a predictor whose rows change as it learns), so problems are
-re-validated per request and victim solves are never memoized.
+:meth:`Client.request` and :meth:`Client.view` are the two halves of that
+step, split so a driver (:func:`repro.distsys.session.run_session`) can
+update an online predictor between serving an item and planning its
+viewing period.  Providers here may be *online* (rows change as the
+predictor learns), so problems are re-validated per request and victim
+solves are never memoized.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from collections.abc import Callable
 import numpy as np
 
 from repro.core.planner import Prefetcher
-from repro.distsys.events import EventQueue
 from repro.distsys.network import Channel, Link
 from repro.distsys.planning import ClientPlanState
 from repro.distsys.server import ItemServer
@@ -41,20 +39,9 @@ ClientStats = AccessStats
 
 
 class Client:
-    __slots__ = (
-        "server",
-        "link",
-        "retrievals",
-        "capacity",
-        "prefetcher",
-        "provider",
-        "planning_window",
-        "queue",
-        "channel",
-        "state",
-        "stats",
-        "_transfer",
-    )
+    """One prefetching client on a private link (see the module docstring)."""
+
+    __slots__ = ("state", "stats")
 
     def __init__(
         self,
@@ -68,30 +55,16 @@ class Client:
     ) -> None:
         if planning_window not in ("nominal", "effective"):
             raise ValueError(f"unknown planning_window {planning_window!r}")
-        if cache_capacity < 0:
-            raise ValueError("cache_capacity must be non-negative")
-        self.server = server
-        self.link = link
-        self.retrievals = server.retrieval_times(link)
-        self.capacity = int(cache_capacity)
-        self.prefetcher = prefetcher
-        self.provider = probability_provider
-        self.planning_window = planning_window
-
-        self.queue = EventQueue()
-        self.channel = Channel(link)
         self.state = ClientPlanState(
             prefetcher,
             probability_provider,
-            self.retrievals,
-            self.capacity,
+            server.retrieval_times(link),
+            cache_capacity,
             server.n_items,
         )
-        self.stats = ClientStats()
-        # Per-item transfer durations: identical floats to
-        # link.transfer_time(server.size(i)) — same latency + size/bandwidth
-        # arithmetic, vectorised once instead of recomputed per request.
-        self._transfer = self.retrievals.tolist()
+        self.state.channel = Channel(link)
+        self.state.effective = planning_window == "effective"
+        self.stats = self.state.stats
 
     # -- state views (tests and examples read these) --------------------
     @property
@@ -111,64 +84,18 @@ class Client:
         return self.state.frequencies
 
     # ------------------------------------------------------------------
-    def _promote(self, item: int) -> None:
-        if item in self.state.pending:
-            self.state.promote(item)
-
     def seed(self, item: int, viewing_time: float) -> float:
         """Pre-serve ``item`` at time 0 (warm start), plan, and return the
         time at which the next request should arrive."""
-        item = int(item)
-        self.state.observe(item)
-        if self.capacity > 0:
-            self.state.cache_add(item, "demand")
-        self.view(item, float(viewing_time), now=0.0)
+        self.state.start(int(item), float(viewing_time), 0.0)
         return float(viewing_time)
 
     def request(self, item: int, now: float) -> float:
         """Serve a request arriving at ``now``; returns the access time."""
-        item = int(item)
-        state = self.state
-        self.queue.run(until=now)
-
-        if item in state.cache:
-            access = 0.0
-            self.stats.cache_hits += 1
-            if state.origin.get(item) == "prefetch":
-                self.stats.prefetches_used += 1
-                state.origin[item] = "prefetch-used"
-        elif item in state.pending:
-            arrival = state.pending[item]
-            access = arrival - now
-            self.stats.pending_waits += 1
-            self.stats.prefetches_used += 1
-            self.queue.run(until=arrival)  # delivers item (and earlier ones)
-            state.origin[item] = "prefetch-used"
-        else:
-            duration = self._transfer[item]
-            _, completion = self.channel.enqueue_duration(now, duration)
-            access = completion - now
-            self.stats.network_demand_time += duration
-            self.stats.misses += 1
-            self.queue.run(until=completion)  # backlog drained by then
-            state.admit_demand(item)
-
-        self.stats.access_times.append(access)
-        state.observe(item)
-        return access
+        now = float(now)
+        return self.state.serve(int(item), now) - now
 
     def view(self, item: int, viewing_time: float, now: float) -> None:
         """Plan and schedule prefetches for the viewing period after ``item``."""
-        window = float(viewing_time)
-        if self.planning_window == "effective":
-            window = max(0.0, window - self.channel.backlog(now))
         state = self.state
-        outcome = state.plan_view(int(item), window)
-        for f in outcome.prefetch:
-            duration = self._transfer[f]
-            _, completion = self.channel.enqueue_duration(now, duration)
-            state.pending_add(f, completion)
-            self.stats.prefetches_scheduled += 1
-            self.stats.network_prefetch_time += duration
-            self.queue.schedule(completion, lambda it=f: self._promote(it))
-        assert len(state.cache) + len(state.pending) <= max(self.capacity, 0)
+        state.view(int(item), state.window(float(viewing_time), now), now)

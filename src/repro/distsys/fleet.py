@@ -11,12 +11,13 @@ with finite concurrency and FIFO or fair cross-client scheduling — so
 prefetch intrusion becomes a cross-client effect, not just a per-client
 stretch.
 
-Each :class:`FleetClient` implements exactly the semantics of
-:class:`~repro.distsys.client.Client` (transfers never aborted, demand
-fetches wait for the client's whole backlog, eviction lists leave the cache
-at planning time, each admitted prefetch paired with a victim or free
-slot), but fully event-driven: completion times emerge from the shared
-timeline instead of being computed at enqueue.  A 1-client fleet over an
+Each :class:`FleetClient` runs the one client serve step of
+:class:`~repro.distsys.planning.ClientPlanState` (transfers never aborted,
+demand fetches wait for the client's whole backlog, eviction lists leave
+the cache at planning time, each admitted prefetch paired with a victim or
+free slot), but fully event-driven: it calls the step's pieces from uplink
+callbacks, because completion times emerge from the shared timeline
+instead of being computed at enqueue.  A 1-client fleet over an
 unbounded uplink reproduces the single-client engine's access times
 *bit-exactly* (see ``tests/integration/test_cross_engine.py``).
 """
@@ -24,8 +25,6 @@ unbounded uplink reproduces the single-client engine's access times
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.cache.base import Cache
 from repro.core.planner import ONLINE_NODE_BUDGET, Prefetcher
@@ -99,34 +98,21 @@ class FleetConfig:
 class FleetClient:
     """One event-driven prefetching client inside a fleet.
 
-    The request/serve/plan cycle is driven entirely by scheduled events:
     ``start()`` seeds the warm-start item at the client's (possibly
     staggered) start time; every served request plans prefetches for its
-    viewing period and schedules the next request; transfer completions
-    arrive as uplink callbacks.
-
-    Fleet workloads come from a :class:`Population`, whose probability
-    providers are library-constructed and static — so the shared
-    :class:`~repro.distsys.planning.ClientPlanState` runs with trusted
-    (validate-once) problem construction and demand-victim memoization, and
-    the per-request trace/duration lookups read precomputed Python lists.
-    With an online ``model`` (``model_source="online"``) the rows are
-    learned from the served stream instead: still trusted (predictors emit
-    normalised rows), but the static-provider fast paths switch off.
+    viewing period and schedules the next request; transfer grants and
+    completions arrive as uplink callbacks.  Population providers are
+    library-built, so the state runs trusted (validate-once problems) and,
+    for the static oracle rows, memoizes demand victims; an online
+    ``model`` (``model_source="online"``) learns its rows from the served
+    stream instead, which switches the static fast paths off.
     """
 
     __slots__ = (
         "client_id",
         "workload",
-        "server",
-        "link",
         "uplink",
         "queue",
-        "prefetcher",
-        "capacity",
-        "planning_window",
-        "retrievals",
-        "provider",
         "state",
         "stats",
         "finished_at",
@@ -134,7 +120,6 @@ class FleetClient:
         "_waiting",
         "_items",
         "_viewings",
-        "_transfer",
         "_n_requests",
     )
 
@@ -151,68 +136,30 @@ class FleetClient:
         planning_window: str = "nominal",
         model=None,
     ) -> None:
-        if planning_window not in ("nominal", "effective"):
-            raise ValueError(f"unknown planning_window {planning_window!r}")
-        if cache_capacity < 0:
-            raise ValueError("cache_capacity must be non-negative")
         self.client_id = int(workload.client_id)
         self.workload = workload
-        self.server = server
-        self.link = link
         self.uplink = uplink
         self.queue = queue
-        self.prefetcher = prefetcher
-        self.capacity = int(cache_capacity)
-        self.planning_window = planning_window
-        self.retrievals = server.retrieval_times(link)
-        # ``model`` switches the client from the oracle row to an online
-        # predictor (any AccessPredictor): rows are library-normalised
-        # (trusted) but change with every observation, so the static-provider
-        # fast paths (victim memo, support cache) must stay off.
-        if model is not None:
-            self.provider = model.conditional_row
-        else:
-            self.provider = workload.provider()
-
         self.state = ClientPlanState(
             prefetcher,
-            self.provider,
-            self.retrievals,
-            self.capacity,
+            model.conditional_row if model is not None else workload.provider(),
+            server.retrieval_times(link),
+            cache_capacity,
             server.n_items,
             trusted_provider=True,
             static_provider=model is None,
             model=model,
         )
-        self.stats = AccessStats()
+        self.state.effective = planning_window == "effective"
+        self.stats = self.state.stats
         self.finished_at: float | None = None
 
         self._k = 0  # next trace index
         self._waiting: tuple[int, int, float] | None = None  # (index, item, t_req)
-        # Batch the per-request numpy scalar reads into plain lists up front:
-        # trace items, viewing times, and per-item transfer durations (the
-        # same latency + size/bandwidth floats link.transfer_time derives).
+        # Batch the per-request numpy scalar reads into plain lists up front.
         self._items = [int(i) for i in workload.trace.items]
         self._viewings = workload.trace.viewing_times.tolist()
-        self._transfer = self.retrievals.tolist()
         self._n_requests = len(self._items)
-
-    # -- state views (tests and the planner share these) ----------------
-    @property
-    def cache(self) -> set[int]:
-        return self.state.cache
-
-    @property
-    def origin(self) -> dict[int, str]:
-        return self.state.origin
-
-    @property
-    def pending(self) -> dict[int, float | None]:
-        return self.state.pending
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        return self.state.frequencies
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> None:
@@ -226,9 +173,7 @@ class FleetClient:
         """Warm start: pre-serve the initial item, plan, queue request 0."""
         now = self.queue.now
         item = int(self.workload.initial_item)
-        self.state.observe(item)
-        if self.capacity > 0:
-            self.state.cache_add(item, "demand")
+        self.state.seed(item)
         viewing = float(self.workload.initial_viewing_time)
         self._view(item, viewing, now)
         self._schedule_request(now + viewing)
@@ -239,30 +184,21 @@ class FleetClient:
         else:
             self.finished_at = at
 
-    # -- request handling ----------------------------------------------
+    # -- the serve step, driven by events --------------------------------
     def _request(self) -> None:
         now = self.queue.now
         k = self._k
         item = self._items[k]
-        state = self.state
-        self._promote_ready(now)
-
-        if item in state.cache:
-            self.stats.cache_hits += 1
-            if state.origin.get(item) == "prefetch":
-                self.stats.prefetches_used += 1
-                state.origin[item] = "prefetch-used"
-            self._serve(k, item, now, now, AccessStats.KIND_HIT)
-        elif item in state.pending:
+        kind = self.state.classify(item, now)
+        if kind == AccessStats.KIND_HIT:
+            self._serve(k, item, now, now, kind)
+        elif kind == AccessStats.KIND_WAIT:
             self._waiting = (k, item, now)  # served by the transfer's arrival
         else:
-            duration = self._transfer[item]
-            self.stats.network_demand_time += duration
-            self.stats.misses += 1
             self.uplink.submit(
                 self.client_id,
                 item,
-                duration,
+                self.state.duration(item),
                 now,
                 lambda completion, k=k, item=item, t_req=now: self._demand_done(
                     k, item, t_req, completion
@@ -271,79 +207,46 @@ class FleetClient:
             )
 
     def _demand_done(self, k: int, item: int, t_req: float, completion: float) -> None:
-        # Per-client FIFO means the whole backlog drained before this demand
-        # started (§2: prefetches are never aborted); promote any stragglers.
-        self._promote_ready(completion)
-        self.state.admit_demand(item)
+        self.state.land_demand(item, completion)
         self._serve(k, item, t_req, completion, AccessStats.KIND_MISS)
 
-    # -- prefetch arrivals ---------------------------------------------
     def _granted(self, item: int, completion: float) -> None:
         pending = self.state.pending
         if item in pending:
             pending[item] = completion  # membership unchanged: direct write
 
-    def _promote_ready(self, now: float) -> None:
-        """Promote granted prefetches that have landed by ``now``.
-
-        Mirrors the lean engine's ``promote(t_req)``: a transfer completing
-        at exactly the request instant counts as a cache hit even if its
-        completion event is ordered after the request event.
-        """
-        state = self.state
-        done = [
-            item
-            for item, arrival in state.pending.items()
-            if arrival is not None and arrival <= now
-        ]
-        for item in done:
-            state.promote(item)
-
     def _prefetch_done(self, item: int, completion: float) -> None:
-        state = self.state
-        if item in state.pending:
-            state.promote(item)
-        if self._waiting is not None and self._waiting[1] == item:
-            k, _, t_req = self._waiting
+        waiting = self._waiting
+        if waiting is not None and waiting[1] == item:
             self._waiting = None
-            self.stats.pending_waits += 1
-            self.stats.prefetches_used += 1
-            state.origin[item] = "prefetch-used"
-            self._serve(k, item, t_req, completion, AccessStats.KIND_WAIT)
+            self.state.land_wait(item, completion)
+            self._serve(waiting[0], item, waiting[2], completion, AccessStats.KIND_WAIT)
+        else:
+            self.state.promote_landed(completion)
 
-    # -- serve + plan ----------------------------------------------------
     def _serve(self, k: int, item: int, t_req: float, t_serve: float, kind: int) -> None:
-        self.stats.access_times.append(t_serve - t_req)
-        self.stats.request_times.append(t_req)
-        self.stats.serve_kinds.append(kind)
-        self.state.observe(item)
+        self.state.record(item, t_req, t_serve, kind)
         viewing = self._viewings[k]
         self._k = k + 1
         self._view(item, viewing, now=t_serve)
         self._schedule_request(t_serve + viewing)
 
-    def _view(self, item: int, viewing_time: float, now: float) -> None:
-        """Plan and submit prefetches for the viewing period after ``item``."""
-        window = float(viewing_time)
-        if self.planning_window == "effective":
-            window = max(0.0, window - self.uplink.backlog(self.client_id, now))
+    def _view(self, item: int, viewing: float, now: float) -> None:
+        """Plan the viewing period after ``item``; submit its prefetches."""
         state = self.state
-        outcome = state.plan_view(item, window)
-        for f in outcome.prefetch:
-            duration = self._transfer[f]
-            state.pending_add(f, None)
-            self.stats.prefetches_scheduled += 1
-            self.stats.network_prefetch_time += duration
+        window = viewing
+        if state.effective:
+            window = max(0.0, viewing - self.uplink.backlog(self.client_id, now))
+        for f in state.view(item, window, now).prefetch.items:
             self.uplink.submit(
                 self.client_id,
                 f,
-                duration,
+                state.duration(f),
                 now,
                 lambda completion, it=f: self._prefetch_done(it, completion),
                 kind="prefetch",
                 on_grant=self._granted,
             )
-        assert len(state.cache) + len(state.pending) <= max(self.capacity, 0)
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,10 @@ fleet factorises into independent per-client timelines: the event heap, the
 :class:`~repro.distsys.network.ServerUplink` grant machinery and all
 cross-client ordering disappear, leaving pure per-client float folds
 (``completion = max(now, busy_until) + duration + penalty`` — the
-:class:`~repro.distsys.network.Channel` arithmetic).  The kernel advances
-clients in struct-of-arrays chunks (per-chunk numpy trace/viewing tables,
-busy/next-request/stat vectors) step by step, and **memoizes planner
+:class:`~repro.distsys.network.Channel` arithmetic, done by a per-client
+flow channel under the shared :meth:`~repro.distsys.planning
+.ClientPlanState.step`).  The kernel advances clients in chunks, one
+request column at a time, and **memoizes planner
 solves across the whole cohort**: clients whose probability provider is the
 same row are exchangeable up to their private draws, so a planning state —
 ``(provider row, item, cache fingerprint, pending fingerprint, window)``,
@@ -64,8 +65,8 @@ from repro.distsys.network import Link
 from repro.distsys.planning import ClientPlanState
 from repro.simulation.metrics import (
     AccessStats,
-    FleetAggregate,
     aggregate_access_stats,
+    pooled_aggregate,
 )
 from repro.workload.population import Population
 
@@ -83,7 +84,7 @@ __all__ = [
 #: ``ClientPlanState._VICTIM_MEMO_LIMIT``, sized for full PlanOutcomes).
 _PLAN_MEMO_LIMIT = 1 << 16
 
-#: Struct-of-arrays chunk: how many clients' trace/viewing/stat arrays are
+#: Chunk size: how many clients' trace/viewing rows and serve states are
 #: resident at once.  Bounds kernel memory at O(chunk × requests) while the
 #: cohort memos persist across chunks.
 _CHUNK_CLIENTS = 4096
@@ -142,24 +143,73 @@ class _CohortMemos:
         return outcome
 
 
-def _flow_backlog(out: deque, now: float) -> float:
-    """This client's queued work at ``now`` — the exact
-    :meth:`~repro.distsys.network.ServerUplink.backlog` fold.
+class _ServiceSums:
+    """Fleet-level uplink service accounting, summed in enqueue order."""
 
-    ``out`` holds ``(completion, duration)`` per outstanding transfer in
-    submission (= completion) order.  The head entry is in flight, so it
-    contributes its remaining time (penalty included); the rest are queued
-    and contribute their bare durations — the uplink adds the server
-    penalty only at grant, so queued transfers must not carry it here.
+    __slots__ = ("transfers", "total", "prefetch", "squares")
+
+    def __init__(self) -> None:
+        self.transfers = 0
+        self.total = 0.0
+        self.prefetch = 0.0
+        self.squares = 0.0
+
+
+class _FlowChannel:
+    """One client's flow on an unbounded uplink, folded at enqueue time.
+
+    The transfer scheduler of :meth:`ClientPlanState.step` for the cohort
+    kernel: the client's transfers run back to back, each for its link
+    duration plus the server ``penalty`` (``completion = max(now,
+    busy_until) + duration + penalty``), and every transfer's service time
+    is added to the fleet's shared :class:`_ServiceSums`.  With ``track``
+    (the effective planning window) it keeps the outstanding
+    ``(completion, duration)`` pairs that :meth:`backlog` folds.
     """
-    while out and out[0][0] <= now:
-        out.popleft()
-    if not out:
-        return 0.0
-    backlog = out[0][0] - now
-    for j in range(1, len(out)):
-        backlog += out[j][1]
-    return backlog
+
+    __slots__ = ("busy_until", "penalty", "sums", "outstanding")
+
+    def __init__(self, penalty: float, sums: _ServiceSums, track: bool) -> None:
+        self.busy_until = 0.0
+        self.penalty = penalty
+        self.sums = sums
+        self.outstanding: deque | None = deque() if track else None
+
+    def enqueue_duration(self, now: float, duration: float) -> float:
+        busy = self.busy_until
+        service = duration + self.penalty
+        completion = (busy if busy > now else now) + service
+        self.busy_until = completion
+        if self.outstanding is not None:
+            self.outstanding.append((completion, duration))
+        sums = self.sums
+        sums.transfers += 1
+        sums.total += service
+        sums.squares += service * service
+        return completion
+
+    def enqueue_prefetch(self, now: float, duration: float) -> float:
+        self.sums.prefetch += duration + self.penalty
+        return self.enqueue_duration(now, duration)
+
+    def backlog(self, now: float) -> float:
+        """Queued work at ``now`` — the exact
+        :meth:`~repro.distsys.network.ServerUplink.backlog` fold.
+
+        The head transfer is in flight, so it contributes its remaining
+        time (penalty included); the rest are queued and contribute their
+        bare durations — the uplink adds the server penalty only at grant,
+        so queued transfers must not carry it here.
+        """
+        out = self.outstanding
+        while out and out[0][0] <= now:
+            out.popleft()
+        if not out:
+            return 0.0
+        backlog = out[0][0] - now
+        for j in range(1, len(out)):
+            backlog += out[j][1]
+        return backlog
 
 
 def _cohort_key(workload) -> object:
@@ -194,7 +244,7 @@ class CohortFleetResult(FleetResult):
 
 
 class CohortFleet:
-    """Struct-of-arrays cohort kernel over an unbounded-uplink fleet.
+    """Chunked cohort kernel over an unbounded-uplink fleet.
 
     See the module docstring for semantics.  ``stats`` selects the output
     shape: ``"full"`` materialises per-client :class:`AccessStats`
@@ -260,20 +310,15 @@ class CohortFleet:
         config = self.config
         population = self.population
         n_items = population.n_items
-        capacity = int(config.cache_capacity)
         penalty = float(config.miss_penalty)
-        transfer = self.retrievals.tolist()
         effective = config.planning_window == "effective"
         full_stats = self.stats_mode == "full"
-
-        KIND_HIT = AccessStats.KIND_HIT
-        KIND_WAIT = AccessStats.KIND_WAIT
-        KIND_MISS = AccessStats.KIND_MISS
 
         clients = population.clients
         n_clients = len(clients)
 
         # -- fleet-level accumulators ----------------------------------
+        sums = _ServiceSums()
         all_stats: list[AccessStats] = []
         pooled_access: list[np.ndarray] = []
         pooled_kinds: list[np.ndarray] = []
@@ -281,219 +326,82 @@ class CohortFleet:
         total_hits = total_waits = total_misses = 0
         total_sched = total_used = 0
         net_prefetch = net_demand = 0.0
-        transfers = 0
-        total_service = prefetch_service = 0.0
-        service_sq = 0.0
         makespan = 0.0
 
         for lo in range(0, n_clients, _CHUNK_CLIENTS):
             chunk = clients[lo:lo + _CHUNK_CLIENTS]
-            b = len(chunk)
-            # Struct-of-arrays chunk state, one row per client.  Hot scalar
-            # fields live in plain Python lists — per-element numpy access
-            # boxes a scalar per read/write, which at one read+write per
-            # request costs more than the fold itself; numpy takes over at
-            # the aggregation boundary.
+            # One row per client; the trace and viewing rows are plain
+            # Python lists, since per-element numpy reads box a scalar each.
             items_rows = [[int(x) for x in w.trace.items] for w in chunk]
             views_rows = [w.trace.viewing_times.tolist() for w in chunk]
             lens = [len(r) for r in items_rows]
-            steps = max(lens)
-            busy = [0.0] * b
-            t_next = [0.0] * b
-            # Outstanding (completion, duration) per client, for the exact
-            # effective-window backlog fold; untracked in nominal mode.
-            outstanding = [deque() for _ in range(b)] if effective else None
-            access_rows: list[list[float]] = [[] for _ in range(b)]
-            reqt_rows: list[list[float]] = [[] for _ in range(b)] if full_stats else None
-            kind_rows: list[list[int]] = [[] for _ in range(b)]
-            hits = [0] * b
-            waits = [0] * b
-            misses = [0] * b
-            sched = [0] * b
-            used = [0] * b
-            npref = [0.0] * b
-            ndem = [0.0] * b
-
+            t_next = []
             states: list[ClientPlanState] = []
-            memos: list[_CohortMemos | None] = []
             for w in chunk:
                 model = build_client_model(config, n_items)
                 state = ClientPlanState(
                     self.prefetcher,
                     model.conditional_row if model is not None else w.provider(),
                     self.retrievals,
-                    capacity,
+                    config.cache_capacity,
                     n_items,
                     trusted_provider=True,
                     static_provider=model is None,
                     model=model,
                 )
+                state.channel = _FlowChannel(penalty, sums, effective)
+                state.effective = effective
                 memo = self._memos_for(w)
-                if memo is not None and state._victim_memo is not None:
-                    # Share the zero-window victim memo across the cohort —
-                    # same key space, same soundness condition.
-                    state._victim_memo = memo.victim_memo
-                states.append(state)
-                memos.append(memo)
-
-            # -- warm start (the event engine's _begin) -----------------
-            for i, w in enumerate(chunk):
+                if memo is not None:
+                    state.plan_memo = memo
+                    if state._victim_memo is not None:
+                        # Share the zero-window victim memo across the
+                        # cohort — same key space, same soundness condition.
+                        state._victim_memo = memo.victim_memo
+                # Warm start (the event engine's _begin).
                 now = float(w.start_time)
-                state = states[i]
-                item = int(w.initial_item)
-                state.observe(item)
-                if capacity > 0:
-                    state.cache_add(item, "demand")
                 viewing = float(w.initial_viewing_time)
-                window = viewing
-                if effective:
-                    window = max(0.0, viewing - _flow_backlog(outstanding[i], now))
-                memo = memos[i]
-                outcome = (
-                    memo.plan(state, item, window)
-                    if memo is not None
-                    else state.plan_view(item, window)
-                )
-                for f in outcome.prefetch:
-                    duration = transfer[f]
-                    start = busy[i] if busy[i] > now else now
-                    svc = duration + penalty
-                    completion = start + svc
-                    busy[i] = completion
-                    state.pending_add(f, completion)
-                    if outstanding is not None:
-                        outstanding[i].append((completion, duration))
-                    sched[i] += 1
-                    npref[i] += duration
-                    transfers += 1
-                    total_service += svc
-                    prefetch_service += svc
-                    service_sq += svc * svc
-                t_next[i] = now + viewing
+                state.start(int(w.initial_item), viewing, now)
+                t_next.append(now + viewing)
+                states.append(state)
 
             # -- step-major sweep: one trace column per pass ------------
             # All clients advance through request k before any sees k+1, so
             # the cohort plan memo warms on the hot early states before the
             # long tail of each trace replays them.
-            for k in range(steps):
-                for i in range(b):
-                    if k >= lens[i]:
-                        continue
-                    state = states[i]
-                    item = items_rows[i][k]
-                    now = t_next[i]
-                    pending = state.pending
-                    if pending:
-                        done = [it for it, arr in pending.items() if arr <= now]
-                        for it in done:
-                            state.promote(it)
-                    cache = state.cache
-                    if item in cache:
-                        hits[i] += 1
-                        if state.origin.get(item) == "prefetch":
-                            used[i] += 1
-                            state.origin[item] = "prefetch-used"
-                        t_serve = now
-                        kind = KIND_HIT
-                    elif item in pending:
-                        arrival = pending[item]
-                        done = [it for it, arr in pending.items() if arr <= arrival]
-                        for it in done:
-                            state.promote(it)
-                        waits[i] += 1
-                        used[i] += 1
-                        state.origin[item] = "prefetch-used"
-                        t_serve = arrival
-                        kind = KIND_WAIT
-                    else:
-                        duration = transfer[item]
-                        ndem[i] += duration
-                        misses[i] += 1
-                        start = busy[i] if busy[i] > now else now
-                        svc = duration + penalty
-                        completion = start + svc
-                        busy[i] = completion
-                        transfers += 1
-                        total_service += svc
-                        service_sq += svc * svc
-                        # The whole backlog drained before the demand
-                        # started (per-flow FIFO): promote everything.
-                        if pending:
-                            for it in list(pending):
-                                state.promote(it)
-                        state.admit_demand(item)
-                        t_serve = completion
-                        kind = KIND_MISS
-                    access_rows[i].append(t_serve - now)
-                    if reqt_rows is not None:
-                        reqt_rows[i].append(now)
-                    kind_rows[i].append(kind)
-                    state.observe(item)
-                    viewing = views_rows[i][k]
-                    window = viewing
-                    if effective:
-                        window = max(
-                            0.0, viewing - _flow_backlog(outstanding[i], t_serve)
-                        )
-                    memo = memos[i]
-                    outcome = (
-                        memo.plan(state, item, window)
-                        if memo is not None
-                        else state.plan_view(item, window)
-                    )
-                    for f in outcome.prefetch:
-                        duration = transfer[f]
-                        start = busy[i] if busy[i] > t_serve else t_serve
-                        svc = duration + penalty
-                        completion = start + svc
-                        busy[i] = completion
-                        state.pending_add(f, completion)
-                        if outstanding is not None:
-                            outstanding[i].append((completion, duration))
-                        sched[i] += 1
-                        npref[i] += duration
-                        transfers += 1
-                        total_service += svc
-                        prefetch_service += svc
-                        service_sq += svc * svc
-                    t_next[i] = t_serve + viewing
+            for k in range(max(lens)):
+                for i, state in enumerate(states):
+                    if k < lens[i]:
+                        t_next[i] = state.step(items_rows[i][k], views_rows[i][k], t_next[i])
 
             # -- fold the chunk into the fleet accumulators -------------
-            makespan = max(makespan, max(t_next), max(busy))
-            total_hits += sum(hits)
-            total_waits += sum(waits)
-            total_misses += sum(misses)
-            total_sched += sum(sched)
-            total_used += sum(used)
-            net_prefetch += sum(npref)
-            net_demand += sum(ndem)
+            makespan = max(
+                makespan, max(t_next), max(s.channel.busy_until for s in states)
+            )
+            chunk_stats = [state.stats for state in states]
+            total_hits += sum(s.cache_hits for s in chunk_stats)
+            total_waits += sum(s.pending_waits for s in chunk_stats)
+            total_misses += sum(s.misses for s in chunk_stats)
+            total_sched += sum(s.prefetches_scheduled for s in chunk_stats)
+            total_used += sum(s.prefetches_used for s in chunk_stats)
+            net_prefetch += sum(s.network_prefetch_time for s in chunk_stats)
+            net_demand += sum(s.network_demand_time for s in chunk_stats)
             if full_stats:
-                for i in range(b):
-                    stats = AccessStats(
-                        cache_hits=hits[i],
-                        pending_waits=waits[i],
-                        misses=misses[i],
-                        prefetches_scheduled=sched[i],
-                        prefetches_used=used[i],
-                        network_prefetch_time=npref[i],
-                        network_demand_time=ndem[i],
-                        access_times=access_rows[i],
-                        request_times=reqt_rows[i],
-                        serve_kinds=kind_rows[i],
-                    )
-                    all_stats.append(stats)
+                all_stats.extend(chunk_stats)
             else:
-                for i in range(b):
-                    row = np.asarray(access_rows[i], dtype=np.float64)
+                for stats in chunk_stats:
+                    row = np.asarray(stats.access_times, dtype=np.float64)
                     pooled_access.append(row)
-                    pooled_kinds.append(np.asarray(kind_rows[i], dtype=np.int8))
+                    pooled_kinds.append(np.asarray(stats.serve_kinds, dtype=np.int8))
                     per_client_mean.append(float(row.mean()) if row.size else float("nan"))
 
+        KIND_HIT = AccessStats.KIND_HIT
+        transfers, total_service = sums.transfers, sums.total
         # -- contention: mean-field M/G/c correction --------------------
         wait, saturated = 0.0, False
         if config.concurrency is not None and transfers and makespan > 0:
             mean_service = total_service / transfers
-            var = max(0.0, service_sq / transfers - mean_service * mean_service)
+            var = max(0.0, sums.squares / transfers - mean_service * mean_service)
             scv = var / (mean_service * mean_service) if mean_service > 0 else 0.0
             uplink_visible = total_waits + total_misses
             base = makespan
@@ -529,10 +437,15 @@ class CohortFleet:
             aggregate = aggregate_access_stats(all_stats)
             client_stats = tuple(all_stats)
         else:
-            aggregate = self._pooled_aggregate(
-                pooled_access, per_client_mean,
-                total_hits, total_waits, total_misses,
-                total_sched, total_used, net_prefetch, net_demand,
+            aggregate = pooled_aggregate(
+                np.concatenate(pooled_access) if pooled_access else np.empty(0),
+                per_client_mean,
+                requests=total_hits + total_waits + total_misses,
+                hits=total_hits,
+                scheduled=total_sched,
+                used=total_used,
+                network_prefetch_time=net_prefetch,
+                network_demand_time=net_demand,
             )
             client_stats = ()
 
@@ -552,7 +465,7 @@ class CohortFleet:
             offered_load=offered,
             server_utilization=offered / slots if slots else float("nan"),
             prefetch_load_frac=(
-                prefetch_service / total_service if total_service else 0.0
+                sums.prefetch / total_service if total_service else 0.0
             ),
             server_cache_hit_rate=float("nan"),
             transfers_granted=transfers,
@@ -561,45 +474,6 @@ class CohortFleet:
             plan_memo_hits=hits_memo,
             contention_wait=wait,
             saturated=saturated,
-        )
-
-    @staticmethod
-    def _pooled_aggregate(
-        pooled_access, per_client_mean,
-        hits, waits, misses, scheduled, used, net_prefetch, net_demand,
-    ) -> FleetAggregate:
-        """The :func:`aggregate_access_stats` arithmetic over numpy pools."""
-        pooled = (
-            np.concatenate(pooled_access) if pooled_access else np.empty(0)
-        )
-        requests = hits + waits + misses
-        per_client = np.asarray(per_client_mean, dtype=np.float64)
-        if per_client.size and float((per_client**2).sum()) > 0.0:
-            fairness = float(per_client.sum()) ** 2 / (
-                per_client.size * float((per_client**2).sum())
-            )
-        else:
-            fairness = 1.0
-        if pooled.size:
-            p50, p95, p99 = (
-                float(np.percentile(pooled, q)) for q in (50, 95, 99)
-            )
-            mean = float(pooled.mean())
-        else:
-            p50 = p95 = p99 = mean = float("nan")
-        return FleetAggregate(
-            n_clients=len(per_client_mean),
-            requests=requests,
-            mean_access_time=mean,
-            p50_access_time=p50,
-            p95_access_time=p95,
-            p99_access_time=p99,
-            hit_rate=hits / requests if requests else float("nan"),
-            prefetch_precision=used / scheduled if scheduled else float("nan"),
-            network_prefetch_time=net_prefetch,
-            network_demand_time=net_demand,
-            fairness=fairness,
-            per_client_mean=per_client,
         )
 
 
@@ -793,27 +667,18 @@ def run_hybrid_fleet(
     # -- fold the correction into the sampled per-request records ----------
     client_stats = res.client_stats
     if delta_wait != 0.0:
-        adjusted = []
-        for s in client_stats:
-            times = [
-                max(0.0, t + delta_wait) if kind != AccessStats.KIND_HIT else t
-                for t, kind in zip(s.access_times, s.serve_kinds)
-            ]
-            adjusted.append(
-                AccessStats(
-                    cache_hits=s.cache_hits,
-                    pending_waits=s.pending_waits,
-                    misses=s.misses,
-                    prefetches_scheduled=s.prefetches_scheduled,
-                    prefetches_used=s.prefetches_used,
-                    network_prefetch_time=s.network_prefetch_time,
-                    network_demand_time=s.network_demand_time,
-                    access_times=times,
-                    request_times=list(s.request_times),
-                    serve_kinds=list(s.serve_kinds),
-                )
+        client_stats = tuple(
+            replace(
+                s,
+                access_times=[
+                    max(0.0, t + delta_wait) if kind != AccessStats.KIND_HIT else t
+                    for t, kind in zip(s.access_times, s.serve_kinds)
+                ],
+                request_times=list(s.request_times),
+                serve_kinds=list(s.serve_kinds),
             )
-        client_stats = tuple(adjusted)
+            for s in client_stats
+        )
     aggregate = aggregate_access_stats(list(client_stats))
 
     offered = per_client_service * n / makespan if makespan > 0 else 0.0

@@ -58,7 +58,9 @@ class Channel:
     """Sequential transfer scheduler over a link (non-preemptive).
 
     Tracks when the channel drains (``busy_until``); each enqueued transfer
-    starts at ``max(now, busy_until)`` and runs to completion.
+    starts at ``max(now, busy_until)`` and runs to completion.  This is the
+    transfer scheduler of :meth:`repro.distsys.planning.ClientPlanState.step`
+    for one client on a private link.
     """
 
     __slots__ = ("link", "busy_until", "total_busy_time")
@@ -69,17 +71,20 @@ class Channel:
         self.total_busy_time = 0.0
 
     def enqueue(self, now: float, size: float) -> tuple[float, float]:
-        """Schedule a transfer; returns ``(start, completion)`` times."""
-        return self.enqueue_duration(now, self.link.transfer_time(size))
-
-    def enqueue_duration(self, now: float, duration: float) -> tuple[float, float]:
-        """Schedule a transfer whose duration the caller already derived
-        (e.g. from a precomputed per-item retrieval table)."""
+        """Schedule a transfer of ``size``; returns ``(start, completion)``."""
         start = max(float(now), self.busy_until)
-        completion = start + duration
+        return start, self.enqueue_duration(now, self.link.transfer_time(size))
+
+    def enqueue_duration(self, now: float, duration: float) -> float:
+        """Schedule a transfer whose duration the caller already derived
+        (e.g. from a per-item retrieval table); returns its completion."""
+        completion = max(float(now), self.busy_until) + duration
         self.busy_until = completion
         self.total_busy_time += duration
-        return start, completion
+        return completion
+
+    #: Prefetches and demand fetches share the one sequential queue.
+    enqueue_prefetch = enqueue_duration
 
     def idle_at(self, now: float) -> bool:
         return self.busy_until <= float(now)

@@ -52,6 +52,7 @@ from repro.core.types import PrefetchProblem
 from repro.distsys.events import EventQueue
 from repro.distsys.fleet import FleetClient, build_client_model, run_to_quiescence
 from repro.distsys.network import Link, ServerUplink
+from repro.distsys.planning import PREFETCH_USED
 from repro.distsys.server import ItemServer
 from repro.prediction.base import AccessPredictor
 from repro.simulation.metrics import AccessStats, FleetAggregate, aggregate_access_stats
@@ -331,7 +332,7 @@ class ProxyNode:
                 self.stats.hits += 1
                 if self._origin.get(item) == "prefetch":
                     self.stats.prefetches_used += 1
-                    self._origin[item] = "prefetch-used"
+                    self._origin[item] = PREFETCH_USED
             request.ready = True
             self._release(flow, now)
         else:
@@ -410,7 +411,7 @@ class ProxyNode:
         self._origin[item] = "prefetch" if entry.speculative else "demand"
         if entry.speculative and any(w.kind == "demand" for w in entry.waiters):
             self.stats.prefetches_used += 1
-            self._origin[item] = "prefetch-used"
+            self._origin[item] = PREFETCH_USED
         for w in entry.waiters:
             w.ready = True
         for w in entry.waiters:

@@ -46,6 +46,8 @@ __all__ = ["GatewayConfig", "GatewayService", "serve"]
 
 #: Reject report bodies larger than this (a decision request is ~100 bytes).
 _MAX_BODY = 1 << 20
+#: Reject requests with more header lines than this.
+_MAX_HEADERS = 64
 
 _JSON = "application/json"
 _TEXT = "text/plain; version=0.0.4"  # Prometheus exposition content type
@@ -265,7 +267,16 @@ class GatewayService:
     ) -> None:
         try:
             while True:
-                request = await _read_request(reader)
+                try:
+                    request = await _read_request(reader)
+                except _HTTPError as exc:
+                    # The framing is lost, so nothing after it can be read:
+                    # answer the error, then close the connection.
+                    self.metrics.inc("gateway_bad_requests_total")
+                    body = _json_bytes({"error": str(exc)})
+                    writer.write(_response_bytes(exc.status, _JSON, body, False))
+                    await writer.drain()
+                    break
                 if request is None:
                     break
                 method, path, version, headers, req_body = request
@@ -275,13 +286,8 @@ class GatewayService:
                 await writer.drain()
                 if not keep_alive:
                     break
-        except (
-            asyncio.IncompleteReadError,
-            ConnectionResetError,
-            BrokenPipeError,
-            _BadRequest,
-        ):
-            pass  # peer went away or sent garbage; drop the connection
+        except (asyncio.IncompleteReadError, ConnectionResetError, BrokenPipeError):
+            pass  # the peer went away mid-request
         finally:
             writer.close()
             try:
@@ -292,10 +298,6 @@ class GatewayService:
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> asyncio.Server:
         """Bind and start serving; returns the running asyncio server."""
         return await asyncio.start_server(self._on_connection, host, port)
-
-
-class _BadRequest(Exception):
-    """Unparseable request framing; the connection is dropped."""
 
 
 _STATUS_TEXT = {
@@ -332,34 +334,49 @@ def _response_bytes(status: int, ctype: str, body: bytes, keep_alive: bool) -> b
     return head.encode("latin-1") + body
 
 
+async def _readline(reader: asyncio.StreamReader) -> bytes:
+    try:
+        return await reader.readline()
+    except ValueError:  # longer than the stream's line limit
+        raise _HTTPError(400, "request line or header too long") from None
+
+
 async def _read_request(
     reader: asyncio.StreamReader,
 ) -> tuple[str, str, str, dict[str, str], bytes] | None:
-    """Read one HTTP/1.1 request; None on a cleanly closed connection."""
-    line = await reader.readline()
+    """Read one HTTP/1.1 request; None on a cleanly closed connection.
+
+    Broken framing raises :class:`_HTTPError` (400, or 413 for a body over
+    :data:`_MAX_BODY`).
+    """
+    line = await _readline(reader)
     if not line:
         return None
     parts = line.decode("latin-1").strip().split()
     if len(parts) != 3:
-        raise _BadRequest(f"malformed request line: {line!r}")
+        raise _HTTPError(400, f"malformed request line: {line!r}")
     method, target, version = parts
     headers: dict[str, str] = {}
-    while True:
-        header = await reader.readline()
+    for _ in range(_MAX_HEADERS + 1):
+        header = await _readline(reader)
         if header in (b"\r\n", b"\n"):
             break
         if not header:
             return None
         name, sep, value = header.decode("latin-1").partition(":")
         if not sep:
-            raise _BadRequest(f"malformed header: {header!r}")
+            raise _HTTPError(400, f"malformed header: {header!r}")
         headers[name.strip().lower()] = value.strip()
+    else:
+        raise _HTTPError(400, f"more than {_MAX_HEADERS} headers")
     try:
         length = int(headers.get("content-length", "0"))
     except ValueError:
-        raise _BadRequest("malformed Content-Length") from None
-    if length < 0 or length > _MAX_BODY:
-        raise _BadRequest(f"content length {length} out of bounds")
+        raise _HTTPError(400, "malformed Content-Length") from None
+    if length < 0:
+        raise _HTTPError(400, f"negative Content-Length {length}")
+    if length > _MAX_BODY:
+        raise _HTTPError(413, f"Content-Length {length} over {_MAX_BODY}")
     body = await reader.readexactly(length) if length else b""
     # Query strings are not part of the API; strip them defensively.
     path = target.split("?", 1)[0]

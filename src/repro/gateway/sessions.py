@@ -1,23 +1,22 @@
 """Per-session planning state for the speculation gateway.
 
-A gateway session is one remote client's view of the world: the same
-:class:`~repro.distsys.planning.ClientPlanState` the simulators run on
-(cache / pending / frequency bookkeeping, planner dispatch), an online
-predictor from :mod:`repro.prediction.adaptive` learning from the reported
-access stream, and a *virtual* timeline.
+A gateway session is one remote client run by the simulators' own serve
+step: a :class:`~repro.distsys.planning.ClientPlanState` (cache, pending
+transfers, planner, serve accounting) whose predictor is an online model
+learning from the reported access stream, over a *virtual* timeline.
 
-The virtual timeline is what turns "a client told us it accessed item i and
-will view it for v seconds" into the exact planning problem the simulators
-solve.  Each session owns a sequential :class:`~repro.distsys.network
-.Channel` (the §2 non-preemptive client downlink) whose clock advances by
-the reported viewing times: prefetches enqueue back-to-back transfers,
-demand misses wait for the whole backlog, and a prefetch that has not
-landed by the next request is a *wait*, not a hit.  This is byte-for-byte
-the arithmetic of :class:`repro.distsys.client.Client` — so replaying a
-workload through the gateway reproduces the closed-loop simulator's serve
-kinds exactly (``tests/gateway/`` pins this, and the open-loop vs
-closed-loop hit-rate criterion in ``benchmarks/bench_gateway.py`` relies
-on it).
+The virtual timeline turns "a client told us it accessed item i and will
+view it for v seconds" into the exact planning problem the simulators
+solve.  The state's transfer scheduler is a sequential
+:class:`~repro.distsys.network.Channel` (the §2 non-preemptive client
+downlink) and the session clock advances by the reported viewing times:
+:meth:`ClientPlanState.serve` classifies each report as a hit, a wait for
+a prefetch still in flight, or a miss behind the whole backlog, and
+:meth:`ClientPlanState.view` plans the next prefetches with the nominal
+window.  Because it is the same step, replaying a workload through the
+gateway reproduces the closed-loop fleet's serve kinds exactly
+(``tests/gateway/`` pins this, and the open-loop vs closed-loop hit-rate
+criterion in ``benchmarks/bench_gateway.py`` relies on it).
 
 Sessions live in a :class:`SessionStore` with two eviction axes a real
 service needs: a TTL (sessions idle longer than ``ttl`` wall-clock seconds
@@ -27,6 +26,7 @@ stream of session ids cannot grow memory without bound.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from collections.abc import Callable
@@ -132,10 +132,8 @@ class GatewaySession:
         "session_id",
         "state",
         "stats",
-        "channel",
         "clock",
         "created_at",
-        "_transfer",
         "_started",
         "_index",
     )
@@ -165,112 +163,51 @@ class GatewaySession:
             static_provider=model is None,
             model=model,
         )
-        self.stats = AccessStats()
-        self.channel = Channel(link if link is not None else Link())
+        self.state.channel = Channel(link if link is not None else Link())
+        self.stats = self.state.stats
         self.clock = 0.0  # virtual time of the *next* expected request
         self.created_at = float(created_at)
-        self._transfer = np.asarray(retrievals, dtype=np.float64).tolist()
         self._started = False
         self._index = 0
-
-    # -- virtual-time arithmetic (Client-engine semantics) ----------------
-    def _promote_ready(self, now: float) -> None:
-        state = self.state
-        done = [
-            item for item, arrival in state.pending.items() if arrival <= now
-        ]
-        for item in done:
-            state.promote(item)
-
-    def _view(self, item: int, viewing: float, now: float):
-        state = self.state
-        outcome = state.plan_view(item, viewing)
-        for f in outcome.prefetch:
-            duration = self._transfer[f]
-            _, completion = self.channel.enqueue_duration(now, duration)
-            state.pending_add(f, completion)
-            self.stats.prefetches_scheduled += 1
-            self.stats.network_prefetch_time += duration
-        assert len(state.cache) + len(state.pending) <= max(state.capacity, 0)
-        return outcome
 
     def report(self, item: int, viewing_time: float) -> Advice:
         """Ingest one access report; return prefetch advice for its viewing.
 
         The first report of a session is the warm start (§5.3's pre-served
         initial item): it seeds the cache, plans, and is not scored.  Every
-        later report replays :meth:`repro.distsys.client.Client.request`
-        followed by ``view`` on the session's virtual clock.
+        later report serves the item at the session's virtual clock and
+        plans its viewing period (the nominal window).
         """
         item = int(item)
-        if not 0 <= item < len(self._transfer):
-            raise ValueError(
-                f"item {item} outside catalog [0, {len(self._transfer)})"
-            )
-        viewing = float(viewing_time)
-        if not viewing >= 0.0:
-            raise ValueError("viewing_time must be non-negative")
         state = self.state
+        n_items = state.retrievals.shape[0]
+        if not 0 <= item < n_items:
+            raise ValueError(f"item {item} outside catalog [0, {n_items})")
+        viewing = float(viewing_time)
+        if not 0.0 <= viewing < math.inf:
+            raise ValueError("viewing_time must be finite and non-negative")
         index = self._index
         self._index = index + 1
 
-        if not self._started:
+        if self._started:
+            t_req = self.clock
+            t_serve = state.serve(item, t_req)
+            served = _KIND_NAMES[self.stats.serve_kinds[-1]]
+        else:  # the warm start: pre-served at time 0, not scored
             self._started = True
-            state.observe(item)
-            if state.capacity > 0:
-                state.cache_add(item, "demand")
-            outcome = self._view(item, viewing, now=0.0)
-            self.clock = viewing
-            return Advice(
-                session=self.session_id,
-                index=index,
-                served="warm",
-                access_time=0.0,
-                t_request=0.0,
-                t_serve=0.0,
-                prefetch=tuple(outcome.prefetch.items),
-                evict=tuple(outcome.eject),
-            )
-
-        t_req = self.clock
-        self._promote_ready(t_req)
-        if item in state.cache:
-            kind = AccessStats.KIND_HIT
-            t_serve = t_req
-            self.stats.cache_hits += 1
-            if state.origin.get(item) == "prefetch":
-                self.stats.prefetches_used += 1
-                state.origin[item] = "prefetch-used"
-        elif item in state.pending:
-            kind = AccessStats.KIND_WAIT
-            t_serve = state.pending[item]
-            self._promote_ready(t_serve)  # lands the item and earlier ones
-            self.stats.pending_waits += 1
-            self.stats.prefetches_used += 1
-            state.origin[item] = "prefetch-used"
-        else:
-            kind = AccessStats.KIND_MISS
-            duration = self._transfer[item]
-            _, t_serve = self.channel.enqueue_duration(t_req, duration)
-            self.stats.network_demand_time += duration
-            self.stats.misses += 1
-            self._promote_ready(t_serve)  # backlog drained by completion
-            state.admit_demand(item)
-
-        self.stats.access_times.append(t_serve - t_req)
-        self.stats.request_times.append(t_req)
-        self.stats.serve_kinds.append(kind)
-        state.observe(item)
-        outcome = self._view(item, viewing, now=t_serve)
+            state.seed(item)
+            t_req = t_serve = 0.0
+            served = "warm"
+        outcome = state.view(item, viewing, t_serve)
         self.clock = t_serve + viewing
         return Advice(
             session=self.session_id,
             index=index,
-            served=_KIND_NAMES[kind],
+            served=served,
             access_time=t_serve - t_req,
             t_request=t_req,
             t_serve=t_serve,
-            prefetch=tuple(outcome.prefetch.items),
+            prefetch=outcome.prefetch.items,
             evict=tuple(outcome.eject),
         )
 

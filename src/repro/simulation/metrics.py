@@ -21,6 +21,7 @@ __all__ = [
     "WindowedSeries",
     "aggregate_access_stats",
     "bin_mean",
+    "pooled_aggregate",
     "kl_divergence",
     "summarise",
     "windowed_access_series",
@@ -108,11 +109,36 @@ def aggregate_access_stats(stats: Sequence[AccessStats]) -> FleetAggregate:
     pooled = np.concatenate(
         [np.asarray(s.access_times, dtype=np.float64) for s in stats]
     ) if any(s.access_times for s in stats) else np.empty(0)
-    requests = sum(s.requests for s in stats)
-    hits = sum(s.cache_hits for s in stats)
-    scheduled = sum(s.prefetches_scheduled for s in stats)
-    used = sum(s.prefetches_used for s in stats)
-    per_client = np.asarray([s.mean_access_time for s in stats], dtype=np.float64)
+    return pooled_aggregate(
+        pooled,
+        [s.mean_access_time for s in stats],
+        requests=sum(s.requests for s in stats),
+        hits=sum(s.cache_hits for s in stats),
+        scheduled=sum(s.prefetches_scheduled for s in stats),
+        used=sum(s.prefetches_used for s in stats),
+        network_prefetch_time=float(sum(s.network_prefetch_time for s in stats)),
+        network_demand_time=float(sum(s.network_demand_time for s in stats)),
+    )
+
+
+def pooled_aggregate(
+    pooled: np.ndarray,
+    per_client_mean: Sequence[float],
+    *,
+    requests: int,
+    hits: int,
+    scheduled: int,
+    used: int,
+    network_prefetch_time: float,
+    network_demand_time: float,
+) -> FleetAggregate:
+    """The :class:`FleetAggregate` formulas over already-pooled inputs.
+
+    ``pooled`` holds every request's access time; ``per_client_mean`` one
+    mean per client (NaN for a client that served nothing).  Engines too
+    large to keep per-client :class:`AccessStats` call this directly.
+    """
+    per_client = np.asarray(per_client_mean, dtype=np.float64)
     active = per_client[~np.isnan(per_client)]
     if active.size and float((active**2).sum()) > 0.0:
         fairness = float(active.sum()) ** 2 / (active.size * float((active**2).sum()))
@@ -124,7 +150,7 @@ def aggregate_access_stats(stats: Sequence[AccessStats]) -> FleetAggregate:
     else:
         p50 = p95 = p99 = mean = float("nan")
     return FleetAggregate(
-        n_clients=len(stats),
+        n_clients=per_client.size,
         requests=requests,
         mean_access_time=mean,
         p50_access_time=p50,
@@ -132,8 +158,8 @@ def aggregate_access_stats(stats: Sequence[AccessStats]) -> FleetAggregate:
         p99_access_time=p99,
         hit_rate=hits / requests if requests else float("nan"),
         prefetch_precision=used / scheduled if scheduled else float("nan"),
-        network_prefetch_time=float(sum(s.network_prefetch_time for s in stats)),
-        network_demand_time=float(sum(s.network_demand_time for s in stats)),
+        network_prefetch_time=network_prefetch_time,
+        network_demand_time=network_demand_time,
         fairness=fairness,
         per_client_mean=per_client,
     )

@@ -31,7 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.planner import Prefetcher
-from repro.distsys.planning import ClientPlanState
+# The module, not the class: repro.distsys.planning imports this package's
+# metrics module, so the class is resolved when a run starts.
+from repro.distsys import planning
+from repro.distsys.network import Channel, Link
 from repro.util.rng import as_generator
 from repro.workload.markov_source import MarkovSource
 
@@ -99,9 +102,6 @@ def run_prefetch_cache(source: MarkovSource, config: PrefetchCacheConfig) -> Pre
     """Simulate ``n_requests`` requests of the Figure 7 loop (see module doc)."""
     rng = as_generator(config.seed)
     n = source.n
-    capacity = int(config.cache_size)
-    r = source.retrieval_times
-    r_list = r.tolist()
     cdf = np.cumsum(source.transition, axis=1)
     viewing_list = source.viewing_times.tolist()
 
@@ -112,106 +112,37 @@ def run_prefetch_cache(source: MarkovSource, config: PrefetchCacheConfig) -> Pre
     )
     # The Markov rows are generated (and normalised) by the source, so the
     # shared planning state runs trusted + static: validate-once problems and
-    # memoized zero-window demand-victim solves.
-    ps = ClientPlanState(
-        prefetcher, source.row, r, capacity, n,
+    # memoized zero-window demand-victim solves.  The unit link makes every
+    # transfer take exactly the catalog's retrieval time.
+    ps = planning.ClientPlanState(
+        prefetcher, source.row, source.retrieval_times, config.cache_size, n,
         trusted_provider=True, static_provider=True,
     )
-    cache = ps.cache
-    origin = ps.origin
-    pending = ps.pending
-
-    t = 0.0
-    net_free = 0.0
-    state = int(rng.integers(n))
-
-    access_times = np.empty(config.n_requests, dtype=np.float64)
-    hit_counts = {"cache-hit": 0, "pending-wait": 0, "miss": 0}
-    prefetches_scheduled = 0
-    prefetches_used = 0
-    network_prefetch_time = 0.0
-    network_demand_time = 0.0
-
-    def promote(now: float) -> None:
-        """Move completed transfers into the cache."""
-        done = [item for item, arrival in pending.items() if arrival <= now]
-        for item in done:
-            ps.promote(item)
-
-    def plan_and_schedule(current: int, window: float) -> None:
-        nonlocal net_free, prefetches_scheduled, network_prefetch_time
-        outcome = ps.plan_view(current, window)
-        start = max(t, net_free)
-        for item in outcome.prefetch:
-            duration = r_list[item]
-            start += duration
-            ps.pending_add(item, start)
-            prefetches_scheduled += 1
-            network_prefetch_time += duration
-        if outcome.prefetch:
-            net_free = start
-        assert len(cache) + len(pending) <= capacity
+    ps.channel = Channel(Link())
+    ps.effective = config.planning_window == "effective"
 
     # Initial state: treat its item as just served at t=0, then view and plan.
-    ps.observe(state)
-    cache_window = viewing_list[state]
-    if capacity > 0:
-        ps.cache_add(state, "demand")
-    plan_and_schedule(state, cache_window)
-    t += cache_window
+    state = int(rng.integers(n))
+    ps.start(state, viewing_list[state], 0.0)
+    t = viewing_list[state]
 
-    u = rng.random(config.n_requests)
-    u_list = u.tolist()
+    u_list = rng.random(config.n_requests).tolist()
     for k in range(config.n_requests):
         nxt = int(np.searchsorted(cdf[state], u_list[k], side="right"))
-        if nxt >= n:
-            nxt = n - 1
-        x = nxt
-        t_req = t
-        promote(t_req)
+        state = nxt if nxt < n else n - 1
+        t = ps.step(state, viewing_list[state], t)
 
-        if x in cache:
-            access = 0.0
-            hit_counts["cache-hit"] += 1
-            if origin.get(x) == "prefetch":
-                prefetches_used += 1
-                origin[x] = "prefetch-used"
-        elif x in pending:
-            access = pending[x] - t_req
-            hit_counts["pending-wait"] += 1
-            prefetches_used += 1
-            promote(pending[x])
-            origin[x] = "prefetch-used"
-        else:
-            # Demand fetch: every scheduled transfer completes first (§2).
-            start = max(net_free, t_req)
-            completion = start + r_list[x]
-            access = completion - t_req
-            net_free = completion
-            network_demand_time += r_list[x]
-            hit_counts["miss"] += 1
-            promote(net_free)  # everything pending finished by now
-            ps.admit_demand(x)
-
-        access_times[k] = access
-        t_serve = t_req + access
-        t = t_serve
-        ps.observe(x)
-
-        window = viewing_list[x]
-        if config.planning_window == "effective":
-            window = max(0.0, window - max(0.0, net_free - t_serve))
-        plan_and_schedule(x, window)
-
-        t += viewing_list[x]
-        state = x
-
+    stats = ps.stats
     return PrefetchCacheResult(
         config=config,
-        access_times=access_times,
-        hit_counts=hit_counts,
-        prefetches_scheduled=prefetches_scheduled,
-        prefetches_used=prefetches_used,
-        network_prefetch_time=network_prefetch_time,
-        network_demand_time=network_demand_time,
+        access_times=np.asarray(stats.access_times, dtype=np.float64),
+        hit_counts={
+            "cache-hit": stats.cache_hits,
+            "pending-wait": stats.pending_waits,
+            "miss": stats.misses,
+        },
+        prefetches_scheduled=stats.prefetches_scheduled,
+        prefetches_used=stats.prefetches_used,
+        network_prefetch_time=stats.network_prefetch_time,
+        network_demand_time=stats.network_demand_time,
     )

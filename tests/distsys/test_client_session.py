@@ -43,7 +43,8 @@ class TestClientBasics:
         client.view(3, viewing_time=200.0, now=float(src.retrieval_times[3]))
         # after a long viewing period every scheduled transfer has landed
         target = 1e6
-        client.queue.run(until=target)
+        assert all(arrival <= target for arrival in client.pending.values())
+        client.state.promote_landed(target)  # what a request at ``target`` does first
         assert client.pending == {}
         successors = set(int(i) for i in src.successors(3))
         assert client.cache & successors  # something useful was prefetched

@@ -54,6 +54,18 @@ async def _with_server(config, coro):
         await server.wait_closed()
 
 
+async def _raw_exchange(host, port, request: bytes) -> tuple[bytes, bytes]:
+    """Send raw bytes; return the response head and body once the server closes."""
+    reader, writer = await asyncio.open_connection(host, port)
+    writer.write(request)
+    await writer.drain()
+    response = await reader.read()  # until the server closes the connection
+    writer.close()
+    await writer.wait_closed()
+    head, _, body = response.partition(b"\r\n\r\n")
+    return head + b"\r\n", body
+
+
 class TestHTTPEndpoints:
     def test_healthz_and_metrics_over_http(self):
         population = _population()
@@ -82,15 +94,38 @@ class TestHTTPEndpoints:
         config = _config(population)
 
         async def scenario(host, port, service):
-            reader, writer = await asyncio.open_connection(host, port)
-            writer.write(b"NONSENSE\r\n\r\n")
-            await writer.drain()
-            assert await reader.read() == b""  # dropped, no response bytes
-            writer.close()
-            await writer.wait_closed()
+            head, body = await _raw_exchange(host, port, b"NONSENSE\r\n\r\n")
+            # Answered with a 400, then the connection is closed.
+            assert head.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+            assert b"Connection: close\r\n" in head
+            assert "malformed request line" in json.loads(body)["error"]
             # The server stays healthy for the next connection.
             status, _ = await http_get(host, port, "/healthz")
             assert status == 200
+
+        asyncio.run(_with_server(config, scenario))
+
+    def test_framing_errors_answered_and_counted(self):
+        population = _population()
+        config = _config(population)
+        too_many = b"".join(b"X-H%d: v\r\n" % i for i in range(100))
+        cases = [
+            (b"POST /v1/access HTTP/1.1\r\nContent-Length: 2000000\r\n\r\n", 413),
+            (b"POST /v1/access HTTP/1.1\r\nContent-Length: nope\r\n\r\n", 400),
+            (b"POST /v1/access HTTP/1.1\r\nContent-Length: -5\r\n\r\n", 400),
+            (b"GET /healthz HTTP/1.1\r\nno colon here\r\n\r\n", 400),
+            (b"GET /healthz HTTP/1.1\r\n" + too_many + b"\r\n", 400),
+            (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", 400),
+        ]
+
+        async def scenario(host, port, service):
+            for request, status in cases:
+                head, body = await _raw_exchange(host, port, request)
+                assert head.startswith(b"HTTP/1.1 %d " % status), (request[:40], head)
+                assert b"Connection: close\r\n" in head
+                assert "error" in json.loads(body)
+            _, text = await http_get(host, port, "/metrics")
+            assert f"gateway_bad_requests_total {len(cases)}" in text.decode()
 
         asyncio.run(_with_server(config, scenario))
 

@@ -97,6 +97,25 @@ class TestAccessValidation:
         assert status == 400
         assert "error" in json.loads(body)
 
+    def test_non_finite_viewing_time_400(self, service):
+        # Python's json accepts these tokens; a session that took one would
+        # answer every later report with NaN/Infinity, which is not JSON.
+        for token in (b"Infinity", b"-Infinity", b"NaN"):
+            body = b'{"session": "a", "item": 1, "viewing_time": ' + token + b"}"
+            status, _, reply = service.handle("POST", "/v1/access", body)
+            assert status == 400
+            assert "finite" in json.loads(reply)["error"]
+
+        def strict(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        for item in (1, 2, 1):
+            status, _, reply = _post_access(
+                service, {"session": "a", "item": item, "viewing_time": 2.0}
+            )
+            assert status == 200
+            json.loads(reply, parse_constant=strict)
+
     def test_bad_request_does_not_create_session(self, service):
         _post_access(service, {"session": "a", "item": 99})
         # item validation happens inside the session; the store keeps the

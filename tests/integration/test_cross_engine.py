@@ -1,12 +1,14 @@
 """Cross-engine integration test.
 
 The lean §5.3 simulator (:func:`repro.simulation.prefetch_cache
-.run_prefetch_cache`) and the event-driven client
-(:mod:`repro.distsys.client`) implement the same semantics through entirely
-different machinery (inline timeline arithmetic vs. channel + event queue).
-On an equal-footing configuration — unit link, item sizes equal to the
-catalog retrieval times, oracle probability provider, identical request
-sequence and seed — their per-request access times must agree *exactly*.
+.run_prefetch_cache`), the single-client driver
+(:mod:`repro.distsys.client` with :func:`repro.distsys.session.run_session`)
+and the event-driven fleet all run the one client serve step of
+:mod:`repro.distsys.planning`, driven three ways (a Markov walk with its
+own seeding, a trace replay with a sized link, uplink callbacks).  On an
+equal-footing configuration — unit link, item sizes equal to the catalog
+retrieval times, oracle probability provider, identical request sequence
+and seed — their per-request access times must agree *exactly*.
 
 This is the strongest correctness statement in the suite: any divergence in
 carry-over handling, promotion order, arbitration, or planning windows
@@ -80,7 +82,7 @@ def test_engines_agree_exactly(strategy, sub, window):
         initial_viewing_time=float(source.viewing_times[initial]),
     )
 
-    np.testing.assert_allclose(session.access_times, lean.access_times, atol=1e-9)
+    np.testing.assert_array_equal(session.access_times, lean.access_times)
     assert client.stats.prefetches_scheduled == lean.prefetches_scheduled
     assert {
         "cache-hit": client.stats.cache_hits,
